@@ -58,8 +58,11 @@ int main() {
     FaultCell cell{"cpu_burn", {}};
     cell.plan.seed = 210;
     // Oversubscribe every core: the burn threads contend with the driver's
-    // sign/submit path and the chain's block production alike.
-    cell.plan.cpu_burn_threads = hw * 4;
+    // sign/submit path and the chain's block production alike. 8 per core:
+    // at 4 per core a client that spends less CPU per tx kept meepo's 2000
+    // tx/s probe right at the deliver_fraction floor (0.69-0.70 of target),
+    // so whether contention moved the knee was a coin toss.
+    cell.plan.cpu_burn_threads = hw * 8;
     cell.plan.cpu_burn_duty = 1.0;
     cells.push_back(cell);
   }

@@ -43,15 +43,18 @@ std::string ChainAdapter::submit(const chain::Transaction& tx) {
 
 std::vector<ChainAdapter::SubmitResult> ChainAdapter::submit_batch(
     const std::vector<chain::Transaction>& txs) {
-  return submit_batch(txs, telemetry::TraceContext{});
+  std::vector<std::string> ids;
+  ids.reserve(txs.size());
+  for (const chain::Transaction& tx : txs) ids.push_back(tx.compute_id());
+  return submit_batch(txs, ids);
 }
 
 std::vector<ChainAdapter::SubmitResult> ChainAdapter::submit_batch(
-    const std::vector<chain::Transaction>& txs, const telemetry::TraceContext& trace) {
+    const std::vector<chain::Transaction>& txs, const std::vector<std::string>& ids,
+    const telemetry::TraceContext& trace) {
+  HAMMER_CHECK(ids.size() == txs.size());
   std::vector<SubmitResult> out(txs.size());
   if (txs.empty()) return out;
-  std::vector<std::string> ids(txs.size());
-  for (std::size_t i = 0; i < txs.size(); ++i) ids[i] = txs[i].compute_id();
 
   const rpc::RetryPolicy& policy = config_.retry;
   rpc::CallOptions call_opts = config_.call;

@@ -84,18 +84,21 @@ class ChainAdapter {
   };
 
   // Submits N transactions in one batch round trip; results align with
-  // `txs` by index. With retries enabled, in-doubt failures reconcile
-  // through chain.receipts before resending (entries already on chain are
-  // reported accepted, not submitted twice) and — when
-  // RetryPolicy::on_rejected — rejected entries are resubmitted. Throws
-  // TransportError only once the policy is exhausted.
-  std::vector<SubmitResult> submit_batch(const std::vector<chain::Transaction>& txs);
-
-  // Same, carrying a distributed-tracing context: the whole batch frame is
-  // tagged with `trace` (one trace per frame — see telemetry/span.hpp). The
-  // untraced overload forwards here with a default (unsampled) context.
+  // `txs` by index. `ids` are the transactions' ids as the caller already
+  // holds them (what sign_with returned), aligned with `txs`; the adapter
+  // reads them only for in-doubt reconciliation. With retries enabled,
+  // in-doubt failures reconcile through chain.receipts before resending
+  // (entries already on chain are reported accepted, not submitted twice)
+  // and — when RetryPolicy::on_rejected — rejected entries are resubmitted.
+  // Throws TransportError only once the policy is exhausted. A sampled
+  // `trace` tags the whole batch frame (one trace per frame — see
+  // telemetry/span.hpp).
   std::vector<SubmitResult> submit_batch(const std::vector<chain::Transaction>& txs,
-                                         const telemetry::TraceContext& trace);
+                                         const std::vector<std::string>& ids,
+                                         const telemetry::TraceContext& trace = {});
+
+  // Convenience for callers that hold no ids: derives them, then forwards.
+  std::vector<SubmitResult> submit_batch(const std::vector<chain::Transaction>& txs);
 
   // The peer-clock offset the transport measured at connect (identity for
   // in-process channels); the trace merger uses it to shift SUT span

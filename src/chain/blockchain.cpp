@@ -100,7 +100,7 @@ void Ledger::append(Block block) {
         ++committed_;
         ++committed_here;
       }
-      tx_index_.emplace(r.tx_id, TxLocation{block.header.height, r});
+      tx_index_.emplace(r.tx_id, TxLocation{block.header.height, r.status});
     }
     ChainMetrics::get().block_txs.record(static_cast<std::int64_t>(block.receipts.size()));
     ChainMetrics::get().txs_failed.add(block.receipts.size() - committed_here);
@@ -153,9 +153,9 @@ std::uint32_t Blockchain::shard_for_sender(const std::string& sender) const {
 
 std::string Blockchain::submit(Transaction tx) {
   inject_submit_faults();
-  check_signature(tx);
-  std::string id = tx.compute_id();
-  pools_[shard_for_sender(tx.sender)]->submit(std::move(tx));
+  std::string id = admit(tx);
+  const std::uint32_t shard = shard_for_sender(tx.sender);
+  pools_[shard]->submit(PooledTx{std::move(tx), id});
   return id;
 }
 
@@ -174,10 +174,12 @@ std::string Blockchain::submit_via(std::uint32_t endpoint, std::uint32_t total_e
   return submit(std::move(tx));
 }
 
-void Blockchain::check_signature(const Transaction& tx) const {
-  if (config_.verify_signatures && !tx.verify_signature()) {
+std::string Blockchain::admit(const Transaction& tx) const {
+  std::string payload = tx.signing_payload();
+  if (config_.verify_signatures && !crypto::verify(tx.pubkey, payload, tx.signature)) {
     throw RejectedError("invalid transaction signature");
   }
+  return Transaction::payload_id(payload);
 }
 
 void Blockchain::inject_submit_faults() const {
@@ -336,7 +338,7 @@ void bind_chain_rpc(std::shared_ptr<Blockchain> chain, rpc::Dispatcher& dispatch
     if (!loc) return json::object({{"found", false}});
     return json::object({{"found", true},
                          {"height", loc->height},
-                         {"status", static_cast<int>(loc->receipt.status)}});
+                         {"status", static_cast<int>(loc->status)}});
   });
 
   dispatcher.register_method("chain.receipts", [chain](const json::Value& params) {
@@ -352,7 +354,7 @@ void bind_chain_rpc(std::shared_ptr<Blockchain> chain, rpc::Dispatcher& dispatch
       } else {
         out.push_back(json::object({{"found", true},
                                     {"height", loc->height},
-                                    {"status", static_cast<int>(loc->receipt.status)}}));
+                                    {"status", static_cast<int>(loc->status)}}));
       }
     }
     return json::object({{"receipts", json::Value(std::move(out))}});

@@ -68,10 +68,12 @@ class Ledger {
   std::uint64_t committed_tx_count() const;
 
   // Per-transaction lookup (Ethereum's getTransactionReceipt equivalent);
-  // what interactive-testing frameworks poll per transaction.
+  // what interactive-testing frameworks poll per transaction. The index
+  // keeps only what chain.tx_receipt / chain.receipts answer with; the full
+  // receipt (detail included) lives once, in its block.
   struct TxLocation {
     std::uint64_t height = 0;
-    TxReceipt receipt;
+    TxStatus status = TxStatus::kCommitted;
   };
   std::optional<TxLocation> find_tx(const std::string& tx_id) const;
 
@@ -97,8 +99,9 @@ class Blockchain {
   const ChainConfig& config() const { return config_; }
   std::uint32_t num_shards() const { return config_.num_shards; }
 
-  // Routes the transaction to its shard pool (hash of the sender); returns
-  // the transaction id. Throws RejectedError on overload or bad signature.
+  // Admits the transaction (see admit()) and routes it, with its id, to its
+  // shard pool (hash of the sender); returns the transaction id. Throws
+  // RejectedError on overload or bad signature.
   virtual std::string submit(Transaction tx);
 
   // Endpoint-tagged submission: the RPC surface of endpoint `endpoint` (of
@@ -146,7 +149,12 @@ class Blockchain {
   // Sleeps the configured serial commit cost for `tx_count` transactions.
   void charge_commit_cost(std::size_t tx_count);
 
-  void check_signature(const Transaction& tx) const;  // throws RejectedError
+  // Admission: builds the canonical payload once, checks the signature
+  // against it (when verify_signatures is on) and returns the id hashed
+  // from those same bytes. The id always comes from the fields the chain
+  // received, never from the client. Throws RejectedError on a bad
+  // signature.
+  std::string admit(const Transaction& tx) const;
 
   // Throws RejectedError when the plan's kSubmitReject fires — a transient
   // refusal, retryable under RetryPolicy::on_rejected.

@@ -45,9 +45,10 @@ class MeepoSim final : public Blockchain {
   };
 
   void epoch_loop(std::uint32_t shard);
-  // Executes one transaction on `shard`; returns the receipt. Cross-shard
-  // transfers debit locally and enqueue a relay credit.
-  TxReceipt execute_sharded(std::uint32_t shard, const Transaction& tx);
+  // Executes one pooled transaction on `shard`; returns its receipt,
+  // stamped with the admission id. Cross-shard transfers debit locally and
+  // enqueue a relay credit.
+  TxReceipt execute_sharded(std::uint32_t shard, PooledTx pooled);
   void enqueue_relay(std::uint32_t shard, RelayCredit credit);
   void apply_relays(std::uint32_t shard);
 

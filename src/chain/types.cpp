@@ -19,13 +19,17 @@ std::string Transaction::signing_payload() const {
   return json::Value(std::move(obj)).dump();
 }
 
-std::string Transaction::compute_id() const {
-  return crypto::digest_hex(crypto::sha256(signing_payload()));
+std::string Transaction::compute_id() const { return payload_id(signing_payload()); }
+
+std::string Transaction::payload_id(std::string_view payload) {
+  return crypto::digest_hex(crypto::sha256(payload));
 }
 
-void Transaction::sign_with(const crypto::KeyPair& keys) {
+std::string Transaction::sign_with(const crypto::KeyPair& keys) {
+  std::string payload = signing_payload();
   pubkey = keys.pub;
-  signature = crypto::sign(keys.priv, signing_payload());
+  signature = crypto::sign(keys.priv, payload);
+  return payload_id(payload);
 }
 
 bool Transaction::verify_signature() const {

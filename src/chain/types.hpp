@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "crypto/schnorr.hpp"
@@ -14,7 +15,10 @@ namespace hammer::chain {
 
 // A signed smart-contract invocation. The id is the hex SHA-256 of the
 // canonical payload, so every component (client, server, SUT) derives the
-// same id independently.
+// same id independently. The id is not stored here: each side derives it
+// once from the payload it builds anyway (sign_with on the client, chain
+// admission on the SUT) and carries it beside the transaction from then on
+// (DESIGN.md §16).
 struct Transaction {
   std::string contract;   // target contract, e.g. "smallbank"
   std::string op;         // operation, e.g. "send_payment"
@@ -30,8 +34,12 @@ struct Transaction {
   // Canonical byte string covered by the signature and hashed into the id.
   std::string signing_payload() const;
   std::string compute_id() const;
+  // The id of an already-built signing_payload().
+  static std::string payload_id(std::string_view payload);
 
-  void sign_with(const crypto::KeyPair& keys);
+  // Signs the canonical payload and returns the id of those same bytes, so
+  // the signer never builds or hashes the payload a second time.
+  std::string sign_with(const crypto::KeyPair& keys);
   bool verify_signature() const;
 
   json::Value to_json() const;

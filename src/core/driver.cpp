@@ -179,8 +179,10 @@ void HammerDriver::worker_loop(SutTarget& target, std::size_t slot, SendQueue& q
   const std::size_t batch_limit = std::max<std::size_t>(1, options_.submit_batch_size);
   DriverMetrics& metrics = DriverMetrics::get();
   std::vector<chain::Transaction> batch;
+  std::vector<std::string> tx_ids;
   std::vector<std::uint64_t> ordinals;
   batch.reserve(batch_limit);
+  tx_ids.reserve(batch_limit);
   ordinals.reserve(batch_limit);
 
   // Counts a refusal; in-flight accounting is handled per mode because only
@@ -201,18 +203,22 @@ void HammerDriver::worker_loop(SutTarget& target, std::size_t slot, SendQueue& q
                                 << " txs written off): " << what;
   };
 
+  auto take = [&](SendQueueItem& item) {
+    batch.push_back(std::move(item.tx));
+    tx_ids.push_back(std::move(item.tx_id));
+    ordinals.push_back(item.ordinal);
+  };
   while (auto first = queue.pop()) {
     batch.clear();
+    tx_ids.clear();
     ordinals.clear();
-    batch.push_back(std::move(first->tx));
-    ordinals.push_back(first->ordinal);
+    take(*first);
     // Coalesce whatever is already signed and waiting, up to the configured
     // batch size — one JSON-RPC batch frame instead of N round trips.
     while (batch.size() < batch_limit) {
       auto more = queue.try_pop();
       if (!more) break;
-      batch.push_back(std::move(more->tx));
-      ordinals.push_back(more->ordinal);
+      take(*more);
     }
     if (rate) {
       // One send deadline per transaction; the batch leaves when its last
@@ -230,8 +236,6 @@ void HammerDriver::worker_loop(SutTarget& target, std::size_t slot, SendQueue& q
     load_->acquire(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) charge_client_cpu();
 
-    std::vector<std::string> tx_ids(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) tx_ids[i] = batch[i].compute_id();
     // One trace per batch frame: if any member is sampled, the whole frame
     // carries a fresh trace id and every sampled member stitches under it.
     telemetry::TraceContext trace_ctx;
@@ -260,25 +264,12 @@ void HammerDriver::worker_loop(SutTarget& target, std::size_t slot, SendQueue& q
                                                       batch[i].contract, ordinals[i]);
         }
         try {
-          if (batch.size() == 1 && !trace_ctx.sampled()) {
-            try {
-              adapter.submit(batch[0]);
-            } catch (const RejectedError&) {
-              reject(1);
-              metrics.inflight.sub(1);
-              task_processor_->mark_rejected(positions[0], clock_->now_us());
-            }
-          } else {
-            // Traced singles go through the batch path too: submit() is a
-            // batch of one anyway, and this is the overload carrying the
-            // trace context onto the wire.
-            auto results = adapter.submit_batch(batch, trace_ctx);
-            for (std::size_t i = 0; i < results.size(); ++i) {
-              if (results[i].ok()) continue;
-              reject(1);
-              metrics.inflight.sub(1);
-              task_processor_->mark_rejected(positions[i], clock_->now_us());
-            }
+          auto results = adapter.submit_batch(batch, tx_ids, trace_ctx);
+          for (std::size_t i = 0; i < results.size(); ++i) {
+            if (results[i].ok()) continue;
+            reject(1);
+            metrics.inflight.sub(1);
+            task_processor_->mark_rejected(positions[i], clock_->now_us());
           }
         } catch (const TransportError& e) {
           send_failed(batch.size(), e.what());
@@ -296,19 +287,10 @@ void HammerDriver::worker_loop(SutTarget& target, std::size_t slot, SendQueue& q
           batch_processor_->register_tx(tx_ids[i], start_us);
         }
         try {
-          if (batch.size() == 1) {
-            try {
-              adapter.submit(batch[0]);
-            } catch (const RejectedError&) {
-              reject(1);
-              // The baseline has no O(1) lookup; rejected ids simply rot in the
-              // queue (a real Blockbench driver behaves the same way).
-            }
-          } else {
-            auto results = adapter.submit_batch(batch);
-            for (const auto& r : results) {
-              if (!r.ok()) reject(1);
-            }
+          // The baseline has no O(1) lookup; rejected ids simply rot in the
+          // queue (a real Blockbench driver behaves the same way).
+          for (const auto& r : adapter.submit_batch(batch, tx_ids, trace_ctx)) {
+            if (!r.ok()) reject(1);
           }
         } catch (const TransportError& e) {
           // Same as rejections: the baseline's queue has no removal path, so
@@ -321,16 +303,8 @@ void HammerDriver::worker_loop(SutTarget& target, std::size_t slot, SendQueue& q
         std::vector<bool> accepted(batch.size(), false);
         bool transport_failed = false;
         try {
-          if (batch.size() == 1) {
-            try {
-              adapter.submit(batch[0]);
-              accepted[0] = true;
-            } catch (const RejectedError&) {
-            }
-          } else {
-            auto results = adapter.submit_batch(batch);
-            for (std::size_t i = 0; i < results.size(); ++i) accepted[i] = results[i].ok();
-          }
+          auto results = adapter.submit_batch(batch, tx_ids, trace_ctx);
+          for (std::size_t i = 0; i < results.size(); ++i) accepted[i] = results[i].ok();
         } catch (const TransportError& e) {
           send_failed(batch.size(), e.what());
           transport_failed = true;
@@ -619,7 +593,7 @@ RunResult HammerDriver::run(const workload::WorkloadFile& workload,
         // s_id is part of the signed payload).
         std::int64_t sign_begin_us = clock_->now_us();
         tx.server_id = options_.server_id;
-        tx.sign_with(keys_->get(tx.sender));
+        std::string tx_id = tx.sign_with(keys_->get(tx.sender));
         std::int64_t signed_us = clock_->now_us();
         metrics.sign_us.record(signed_us - sign_begin_us);
         const bool traced = tracer_ && tracer_->sampled(ordinal);
@@ -627,7 +601,10 @@ RunResult HammerDriver::run(const workload::WorkloadFile& workload,
           tracer_->record(ordinal, telemetry::Stage::kStart, sign_begin_us);
           tracer_->record(ordinal, telemetry::Stage::kSigned, signed_us);
         }
-        if (!route_and_push(queues, *policy, SendQueueItem{std::move(tx), ordinal})) return;
+        if (!route_and_push(queues, *policy,
+                            SendQueueItem{std::move(tx), std::move(tx_id), ordinal})) {
+          return;
+        }
         if (traced) {
           tracer_->record(ordinal, telemetry::Stage::kEnqueued, clock_->now_us());
         }
@@ -638,20 +615,20 @@ RunResult HammerDriver::run(const workload::WorkloadFile& workload,
   } else {
     std::vector<chain::Transaction> txs = workload.transactions;
     for (chain::Transaction& tx : txs) tx.server_id = options_.server_id;
-    sign_serial(txs, *keys_);
-    feeder = std::thread([this, &queues, &close_all, &policy, txs = std::move(txs)]() mutable {
+    std::vector<std::string> ids = sign_serial(txs, *keys_);
+    feeder = std::thread([this, &queues, &close_all, &policy, txs = std::move(txs),
+                          ids = std::move(ids)]() mutable {
       // Signing happened up front, so the per-tx sign/queue stages collapse
       // to the push instant; the submit/include/detect stages stay real.
-      std::uint64_t ordinal = 0;
-      for (chain::Transaction& tx : txs) {
+      for (std::uint64_t ordinal = 0; ordinal < txs.size(); ++ordinal) {
         if (tracer_ && tracer_->sampled(ordinal)) {
           std::int64_t now_us = clock_->now_us();
           tracer_->record(ordinal, telemetry::Stage::kStart, now_us);
           tracer_->record(ordinal, telemetry::Stage::kSigned, now_us);
           tracer_->record(ordinal, telemetry::Stage::kEnqueued, now_us);
         }
-        if (!route_and_push(queues, *policy, SendQueueItem{std::move(tx), ordinal})) return;
-        ++ordinal;
+        SendQueueItem item{std::move(txs[ordinal]), std::move(ids[ordinal]), ordinal};
+        if (!route_and_push(queues, *policy, std::move(item))) return;
       }
       close_all();
     });

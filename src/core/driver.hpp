@@ -191,6 +191,7 @@ class HammerDriver {
  private:
   struct SendQueueItem {
     chain::Transaction tx;
+    std::string tx_id;          // what sign_with returned; never recomputed
     std::uint64_t ordinal = 0;  // position in the workload, for tracing
   };
   using SendQueue = util::MpmcQueue<SendQueueItem>;

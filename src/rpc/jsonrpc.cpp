@@ -1,6 +1,7 @@
 #include "rpc/jsonrpc.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <unordered_map>
 
 #include "rpc/api.hpp"
@@ -237,6 +238,24 @@ json::Value make_request(std::uint64_t id, const std::string& method, json::Valu
   return json::Value(std::move(obj));
 }
 
+void write_batch_request(std::string& out, std::uint64_t first_id,
+                         const std::vector<BatchCall>& calls) {
+  out.push_back('[');
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    if (i > 0) out.push_back(',');
+    // make_request's members in json::Object's sorted key order: id,
+    // jsonrpc, method, params.
+    out += "{\"id\":";
+    out += std::to_string(static_cast<std::int64_t>(first_id + i));
+    out += ",\"jsonrpc\":\"2.0\",\"method\":";
+    json::Value(calls[i].method).dump_into(out);
+    out += ",\"params\":";
+    calls[i].params.dump_into(out);
+    out.push_back('}');
+  }
+  out.push_back(']');
+}
+
 json::Value make_result_response(const json::Value& id, json::Value result) {
   json::Object obj;
   obj["jsonrpc"] = "2.0";
@@ -325,17 +344,16 @@ json::Value InProcChannel::call(const std::string& method, json::Value params,
 std::vector<BatchReply> InProcChannel::call_batch(const std::vector<BatchCall>& calls,
                                                   const CallOptions& opts) {
   if (calls.empty()) return {};
-  std::vector<std::uint64_t> ids(calls.size());
-  json::Array entries;
-  entries.reserve(calls.size());
+  std::uint64_t first_id = 0;
   {
     std::scoped_lock lock(mu_);
-    for (std::size_t i = 0; i < calls.size(); ++i) {
-      ids[i] = next_id_++;
-      entries.push_back(make_request(ids[i], calls[i].method, calls[i].params));
-    }
+    first_id = next_id_;
+    next_id_ += calls.size();
   }
-  std::string request_text = json::Value(std::move(entries)).dump();
+  std::vector<std::uint64_t> ids(calls.size());
+  std::iota(ids.begin(), ids.end(), first_id);
+  std::string request_text;
+  write_batch_request(request_text, first_id, calls);
   std::string response_text;
   if (opts.trace.sampled()) {
     telemetry::ScopedTrace scope(opts.trace);

@@ -209,6 +209,12 @@ class InProcChannel final : public Channel {
 
 // Request/response envelope helpers shared by transports.
 json::Value make_request(std::uint64_t id, const std::string& method, json::Value params);
+// Appends a JSON-RPC batch array of `calls` with ids first_id, first_id+1,
+// ... — byte for byte the dump of a json::Array of make_request() values,
+// but written around each call's params in place instead of deep-copying
+// every params tree into a request envelope first.
+void write_batch_request(std::string& out, std::uint64_t first_id,
+                         const std::vector<BatchCall>& calls);
 json::Value make_result_response(const json::Value& id, json::Value result);
 json::Value make_error_response(const json::Value& id, int code, const std::string& message);
 

@@ -1032,19 +1032,19 @@ std::vector<BatchReply> TcpChannel::call_batch(const std::vector<BatchCall>& cal
     for (std::size_t i = 0; i < calls.size(); ++i) {
       wire::encode_call(*frame, first_id + i, calls[i].method, calls[i].params);
     }
+  } else if (!traced) {
+    write_batch_request(*frame, first_id, calls);
   } else {
     json::Array entries;
     entries.reserve(calls.size());
     for (std::size_t i = 0; i < calls.size(); ++i) {
-      if (traced && calls[i].params.is_object()) {
-        json::Value params = calls[i].params;
+      json::Value params = calls[i].params;
+      if (params.is_object()) {
         params["_trace"] =
             json::object({{"t", static_cast<std::int64_t>(opts.trace.trace_id)},
                           {"s", static_cast<std::int64_t>(opts.trace.span_id)}});
-        entries.push_back(make_request(first_id + i, calls[i].method, std::move(params)));
-      } else {
-        entries.push_back(make_request(first_id + i, calls[i].method, calls[i].params));
       }
+      entries.push_back(make_request(first_id + i, calls[i].method, std::move(params)));
     }
     json::Value(std::move(entries)).dump_into(*frame);
   }

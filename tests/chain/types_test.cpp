@@ -30,6 +30,14 @@ TEST(TransactionTest, IdChangesWithContent) {
   EXPECT_NE(a.compute_id(), b.compute_id());
 }
 
+TEST(TransactionTest, SignWithReturnsTheComputedId) {
+  Transaction tx = make_tx();
+  const std::string id = tx.sign_with(crypto::derive_keypair("alice"));
+  EXPECT_EQ(id, tx.compute_id());
+  EXPECT_EQ(id, Transaction::payload_id(tx.signing_payload()));
+  EXPECT_TRUE(tx.verify_signature());
+}
+
 TEST(TransactionTest, SignatureVerifies) {
   Transaction tx = make_tx();
   EXPECT_TRUE(tx.verify_signature());

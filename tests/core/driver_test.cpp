@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 
 #include "core/deployment.hpp"
@@ -148,6 +149,66 @@ TEST(DriverTest, SerialSigningModeStillCompletes) {
   RunResult result = h.run(options, 100);
   EXPECT_EQ(result.submitted, 100u);
   EXPECT_EQ(result.unmatched, 0u);
+}
+
+// Hash once: the id the feeder got from sign_with is the one registered for
+// Algorithm 1 and the one the SUT derives at admission and stamps on the
+// receipt, so every registered id is found on chain and nothing goes
+// unmatched. Batch size 1 covers the single-tx sends that used to take
+// their own submit path.
+void expect_registered_ids_on_chain(Harness& h, DriverOptions options, std::size_t count) {
+  workload::WorkloadFile workload = h.make_workload(count);
+  std::vector<std::string> expected;
+  for (chain::Transaction tx : workload.transactions) {
+    tx.server_id = options.server_id;
+    expected.push_back(tx.compute_id());
+  }
+  auto& sut = h.deployment->at("sut");
+  HammerDriver driver(sut.make_adapters(options.worker_threads), sut.make_adapters(1)[0],
+                      util::SteadyClock::shared(), options);
+  RunResult result = driver.run(workload, nullptr);
+  EXPECT_EQ(result.submitted, count);
+  EXPECT_EQ(result.unmatched, 0u);
+  EXPECT_EQ(result.rejected, 0u);
+
+  std::vector<std::string> registered;
+  for (const TxRecord& record : driver.task_processor()->snapshot()) {
+    EXPECT_TRUE(record.completed) << record.tx_id;
+    registered.push_back(record.tx_id);
+  }
+  std::sort(expected.begin(), expected.end());
+  std::sort(registered.begin(), registered.end());
+  EXPECT_EQ(registered, expected);
+  for (const std::string& id : registered) {
+    EXPECT_TRUE(sut.chain->tx_receipt(id).has_value()) << id;
+  }
+}
+
+class DriverIdentityTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(DriverIdentityTest, RegisteredIdsEqualOnChainReceiptIds) {
+  const std::string kind = GetParam();
+  Harness h(kind, kind == "meepo" ? 2 : 0);
+  DriverOptions options;
+  options.worker_threads = kind == "ethereum" ? 1 : 2;
+  options.submit_batch_size = 1;
+  options.drain_timeout = 30s;
+  expect_registered_ids_on_chain(h, options, kind == "ethereum" ? 40 : 150);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSims, DriverIdentityTest,
+                         ::testing::Values("ethereum", "fabric", "meepo", "neuchain"),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           return info.param;
+                         });
+
+TEST(DriverTest, SerialSigningCarriesTheSignedIds) {
+  Harness h("neuchain");
+  DriverOptions options;
+  options.worker_threads = 2;
+  options.pipelined_signing = false;
+  options.submit_batch_size = 8;
+  expect_registered_ids_on_chain(h, options, 120);
 }
 
 TEST(DriverTest, OverloadIsCountedAsRejected) {

@@ -228,5 +228,44 @@ TEST(InProcChannelTest, EmptyBatchReturnsEmpty) {
   EXPECT_TRUE(channel.call_batch({}).empty());
 }
 
+// The batch request text InProcChannel and the JSON TcpChannel send must be
+// byte-identical to dumping an array of make_request() envelopes — the
+// writer only skips copying each params tree into an envelope first.
+TEST(RequestWriterTest, BatchTextIsByteIdenticalToDumpedEnvelopes) {
+  json::Object tx;
+  tx["args"] = json::object({{"amount", 42}, {"to", "acct\"7\\\n"}, {"ratio", 0.25}});
+  tx["nonce"] = std::int64_t{1} << 40;
+  tx["tags"] = json::array({json::Value(), true, "\u00e9\x01", json::Array{}, json::Object{}});
+  std::vector<BatchCall> calls{
+      {"chain.submit", json::object({{"tx", json::Value(std::move(tx))}})},
+      {"chain.info", json::Value()},
+      {"we\"ird\tmethod", json::object({})},
+      {"echo", json::array({-1, "x"})},
+  };
+  json::Array entries;
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    entries.push_back(make_request(1000 + i, calls[i].method, calls[i].params));
+  }
+  std::string text;
+  write_batch_request(text, 1000, calls);
+  EXPECT_EQ(text, json::Value(std::move(entries)).dump());
+
+  std::string single;
+  write_batch_request(single, 3, {calls[0]});
+  EXPECT_EQ(single, json::Value(json::Array{make_request(3, calls[0].method, calls[0].params)})
+                        .dump());
+}
+
+TEST(InProcChannelTest, CallBatchKeepsIdsDistinctAcrossBatches) {
+  InProcChannel channel(make_dispatcher());
+  for (int round = 0; round < 3; ++round) {
+    auto replies = channel.call_batch({{"add", json::object({{"a", round}, {"b", 1}})},
+                                       {"echo", json::object({{"r", round}})}});
+    ASSERT_EQ(replies.size(), 2u);
+    EXPECT_EQ(replies[0].take().as_int(), round + 1);
+    EXPECT_EQ(replies[1].take().at("r").as_int(), round);
+  }
+}
+
 }  // namespace
 }  // namespace hammer::rpc
