@@ -121,9 +121,8 @@ int main() {
       core::DriverOptions options;
       options.worker_threads = 2;
       options.load_seed = profile.seed;
-      core::HammerDriver driver(sut.make_adapters(options.worker_threads),
-                                sut.make_adapters(1)[0], util::SteadyClock::shared(), options);
-      cell.result = driver.run(wf, nullptr);
+      cell.result = core::run_peak_probe(sut.make_cluster(2, 2), util::SteadyClock::shared(),
+                                         options, wf);
       if (auto* fabric = dynamic_cast<chain::FabricSim*>(sut.chain.get())) {
         cell.mvcc_conflicts = fabric->mvcc_conflicts();
       }

@@ -40,12 +40,11 @@ int main() {
   workload::WorkloadFile wf = bench::smallbank_workload(sut, total_txs);
   auto duration = std::chrono::milliseconds(
       static_cast<std::int64_t>(static_cast<double>(total_txs) / rate * 1000.0));
-  workload::ControlSequence plan_rate =
+  options.rate_plan =
       workload::ControlSequence::constant(rate, duration, std::chrono::milliseconds(250));
 
-  core::HammerDriver driver(sut.make_adapters(2), sut.make_adapters(1)[0],
-                            util::SteadyClock::shared(), options);
-  core::RunResult result = driver.run(wf, &plan_rate);
+  core::HammerDriver driver(sut.make_cluster(2, 2), util::SteadyClock::shared(), options);
+  core::RunResult result = driver.run(wf);
   std::printf("driver: %s\n", result.summary().c_str());
 
   // --- ground truth: scan the ledger like the paper's peer-log script ---

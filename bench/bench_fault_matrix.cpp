@@ -110,10 +110,9 @@ int main() {
     // The poll adapter gets the same policy (but a clean channel): a dropped
     // receipts/height reply must not stall the poller for a full default
     // timeout with no second attempt.
-    core::HammerDriver driver(
-        sut.make_adapters(options.worker_threads, adapter_config, client_faults),
-        sut.make_adapters(1, adapter_config)[0], util::SteadyClock::shared(), options);
-    core::RunResult result = driver.run(bench::smallbank_workload(sut, txs), nullptr);
+    core::HammerDriver driver(sut.make_cluster(2, 2, adapter_config, client_faults),
+                              util::SteadyClock::shared(), options);
+    core::RunResult result = driver.run(bench::smallbank_workload(sut, txs));
 
     std::uint64_t injected = 0;
     if (client_faults) injected += client_faults->total_injected();

@@ -44,15 +44,14 @@ int main() {
     // time — saturation latency is pure backlog on every chain.
     double latency_rate = std::max(result.tps * 0.6, 5.0);
     auto latency_txs = static_cast<std::size_t>(std::min(latency_rate * 8.0, 20000.0));
-    workload::ControlSequence rate = workload::ControlSequence::constant(
+    options.rate_plan = workload::ControlSequence::constant(
         latency_rate,
         std::chrono::milliseconds(
             static_cast<std::int64_t>(static_cast<double>(latency_txs) / latency_rate * 1000)),
         std::chrono::milliseconds(200));
-    core::HammerDriver latency_driver(sut.make_adapters(2), sut.make_adapters(1)[0],
-                                      util::SteadyClock::shared(), options);
     core::RunResult latency_run =
-        latency_driver.run(bench::smallbank_workload(sut, latency_txs, 77), &rate);
+        core::run_peak_probe(sut.make_cluster(2, 2), util::SteadyClock::shared(), options,
+                             bench::smallbank_workload(sut, latency_txs, 77));
 
     double mean_ms = latency_run.latency.mean() / 1000.0;
     double p50_ms = static_cast<double>(latency_run.latency.percentile(50)) / 1000.0;

@@ -37,9 +37,9 @@ core::RunResult run_framework(const core::DeployedChain& sut, core::TrackingMode
     // itself (SUT and framework share the core — see EXPERIMENTS.md).
     options.interactive_poll = std::chrono::milliseconds(100);
   }
-  core::HammerDriver driver(sut.make_adapters(options.worker_threads), sut.make_adapters(1)[0],
-                            util::SteadyClock::shared(), options);
-  return driver.run(bench::smallbank_workload(sut, txs), nullptr);
+  const std::size_t workers = options.worker_threads;
+  return core::run_peak_probe(sut.make_cluster(workers, workers), util::SteadyClock::shared(),
+                              options, bench::smallbank_workload(sut, txs));
 }
 
 }  // namespace

@@ -59,9 +59,9 @@ int main() {
 
   core::DriverOptions options;
   options.worker_threads = 2;
-  core::HammerDriver driver(sut.make_adapters(2), sut.make_adapters(1)[0],
-                            util::SteadyClock::shared(), options);
-  core::RunResult result = driver.run(wf, &sequence);
+  options.rate_plan = sequence;
+  core::HammerDriver driver(sut.make_cluster(2, 2), util::SteadyClock::shared(), options);
+  core::RunResult result = driver.run(wf);
 
   // 5. The SUT's view of a realistic, bursty day.
   std::printf("\n%s\n", result.summary().c_str());

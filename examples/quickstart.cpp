@@ -28,9 +28,9 @@
 // lanes + server-side spans, stitched per sampled transaction) is written
 // as Chrome trace_event JSON — open it at https://ui.perfetto.dev.
 //
-// With --rate R, the run is paced by the closed-loop LoadController
-// instead of the open-loop replay schedule: submit workers acquire a
-// token per transaction from a bucket refilled at R tx/s, and the summary
+// Submit workers acquire a token per transaction from the driver's
+// LoadController. By default its bucket replays a 1,000 tx/s rate plan;
+// with --rate R it refills at a constant R tx/s instead, and the summary
 // reports target vs offered vs achieved rate (DESIGN.md §14).
 //
 // With --saturate, the demo skips the fixed run and instead ramps a
@@ -191,9 +191,8 @@ int main(int argc, char** argv) {
       // window on these short probes.
       probe_options.rate_burst = 8.0;
       probe_options.load_seed = seed;
-      core::HammerDriver probe_driver(sut.make_adapters(2), sut.make_adapters(1)[0],
-                                      util::SteadyClock::shared(), probe_options);
-      return probe_driver.run(wf, nullptr);
+      return core::run_peak_probe(sut.make_cluster(2, 2), util::SteadyClock::shared(),
+                                  probe_options, wf);
     });
     for (const core::SaturationProbe& probe : found.probes) {
       std::printf("  probe %7.0f tx/s: offered %7.0f achieved %7.0f p99 %7.2f ms%s\n",
@@ -231,16 +230,16 @@ int main(int argc, char** argv) {
   metrics_options.write_behind = true;
   metrics_options.pending_ttl = std::chrono::minutes(5);
   options.metrics = std::make_shared<core::MetricsPipeline>(cache, db, metrics_options);
-  workload::ControlSequence rate = workload::ControlSequence::constant(
-      1000.0, std::chrono::seconds(5), std::chrono::milliseconds(100));
-  // --rate: closed-loop pacing through the LoadController instead of the
-  // open-loop replay schedule (both paths share the same accounting).
-  const workload::ControlSequence* rate_plan = &rate;
+  // The 1,000 TPS is a rate plan (fifty 100 ms slices of 100 txs) replayed
+  // through the driver's LoadController; --rate swaps it for a constant
+  // token-bucket rate on the same gate.
   if (paced_rate > 0.0) {
     options.target_rate = paced_rate;
-    rate_plan = nullptr;
-    std::printf("closed-loop pacing at %.0f tx/s (token bucket, burst %.0f)\n", paced_rate,
+    std::printf("constant pacing at %.0f tx/s (token bucket, burst %.0f)\n", paced_rate,
                 options.rate_burst);
+  } else {
+    options.rate_plan = workload::ControlSequence::constant(1000.0, std::chrono::seconds(5),
+                                                            std::chrono::milliseconds(100));
   }
   // Under --faults the adapters retry transient rejections with seeded
   // exponential backoff instead of counting them as failures.
@@ -251,13 +250,12 @@ int main(int argc, char** argv) {
     options.fault_injector = sut.fault_injector;
   }
   options.routing = routing;
-  if (endpoints > 1) options.worker_threads = endpoints;  // one submit worker per target
+  // One submit worker per target on a multi-endpoint SUT, else two; each
+  // worker gets its own channel.
+  const std::size_t per_target = endpoints > 1 ? 1 : 2;
+  options.worker_threads = per_target * endpoints;
   std::shared_ptr<core::SutCluster> cluster =
-      endpoints > 1
-          ? sut.make_cluster(/*workers_per_target=*/1, /*channels_per_target=*/1,
-                             adapter_config)
-          : core::SutCluster::single(sut.make_adapters(2, adapter_config),
-                                     sut.make_adapters(1)[0]);
+      sut.make_cluster(per_target, per_target, adapter_config);
   core::HammerDriver driver(cluster, util::SteadyClock::shared(), options);
 
   // Live view while the run is in flight: one snapshot line per second from
@@ -280,7 +278,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(blocks.value()));
     }
   });
-  core::RunResult result = driver.run(wf, rate_plan);
+  core::RunResult result = driver.run(wf);
   running.store(false);
   live.join();
   monitor.stop();

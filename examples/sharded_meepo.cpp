@@ -35,17 +35,17 @@ int main() {
 
   core::DriverOptions options;
   options.worker_threads = 2;
-  core::HammerDriver driver(sut.make_adapters(2), sut.make_adapters(1)[0],
-                            util::SteadyClock::shared(), options);
-  core::RunResult result = driver.run(wf, nullptr);
+  std::shared_ptr<core::SutCluster> cluster = sut.make_cluster(2, 2);
+  core::HammerDriver driver(cluster, util::SteadyClock::shared(), options);
+  core::RunResult result = driver.run(wf);
   std::printf("run: %s\n\n", result.summary().c_str());
 
   // Cross-shard credits land at the destination shard's NEXT epoch; give
   // in-flight relays a few epochs to settle before auditing.
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
 
-  // Per-shard view through the same adapter the driver used.
-  auto adapter = sut.make_adapters(1)[0];
+  // Per-shard view through the same adapter the driver polled with.
+  const auto& adapter = cluster->target(0).poll_adapter();
   for (std::uint32_t shard = 0; shard < adapter->info().shards; ++shard) {
     std::printf("shard %u: height=%llu state_digest=%.16s...\n", shard,
                 static_cast<unsigned long long>(adapter->height(shard)),

@@ -53,18 +53,6 @@ std::shared_ptr<rpc::Channel> DeployedChain::connect(
       endpoint == 0 ? dispatcher : extra_endpoints[endpoint - 1].dispatcher);
 }
 
-std::vector<std::shared_ptr<adapters::ChainAdapter>> DeployedChain::make_adapters(
-    std::size_t count, const rpc::ClientConfig& config,
-    std::shared_ptr<fault::FaultInjector> client_faults) const {
-  std::vector<std::shared_ptr<adapters::ChainAdapter>> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    out.push_back(std::make_shared<adapters::ChainAdapter>(connect(config, client_faults),
-                                                           config));
-  }
-  return out;
-}
-
 std::shared_ptr<SutCluster> DeployedChain::make_cluster(
     std::size_t workers_per_target, std::size_t channels_per_target,
     const rpc::ClientConfig& config,
@@ -89,9 +77,11 @@ std::shared_ptr<SutCluster> DeployedChain::make_cluster(
       workers.push_back(
           std::make_shared<adapters::ChainAdapter>(pool.next(), target_config));
     }
-    // The poller never shares a socket with submissions.
-    auto poller = std::make_shared<adapters::ChainAdapter>(
-        connect(target_config, client_faults, i), target_config);
+    // The poller never shares a socket with submissions, and gets no client
+    // faults: its send count follows timing, so draws on it would break the
+    // seeded worker-channel fault trace (as in make_remote_cluster).
+    auto poller =
+        std::make_shared<adapters::ChainAdapter>(connect(target_config, nullptr, i), target_config);
     std::vector<std::uint32_t> owned;
     for (std::uint32_t s = 0; s < shards; ++s) {
       if (s % n == i) owned.push_back(s);

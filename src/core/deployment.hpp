@@ -30,7 +30,7 @@
 // A "faults" key builds a seeded fault::FaultInjector (fault::FaultPlan
 // JSON shape) and installs it on the chain AND its TcpServers, so SUT-side
 // and server-transport faults share one deterministic plan. Client-side
-// faults stay client-owned: pass an injector to connect()/make_adapters().
+// faults stay client-owned: pass an injector to connect()/make_cluster().
 #pragma once
 
 #include <map>
@@ -78,13 +78,6 @@ struct DeployedChain {
       std::shared_ptr<fault::FaultInjector> client_faults = nullptr,
       std::size_t endpoint = 0) const;
 
-  // Convenience: `count` independent adapters against endpoint 0, all
-  // sharing the same ClientConfig (codec preference, deadline, retry
-  // policy) and client-side injector.
-  std::vector<std::shared_ptr<adapters::ChainAdapter>> make_adapters(
-      std::size_t count, const rpc::ClientConfig& config = {},
-      std::shared_ptr<fault::FaultInjector> client_faults = nullptr) const;
-
   // Builds a SutCluster over every endpoint of this chain: per target,
   // `workers_per_target` adapters sharing a `channels_per_target`-deep
   // rpc::ChannelPool (fewer sockets than workers; TcpChannel multiplexes),
@@ -92,6 +85,9 @@ struct DeployedChain {
   // shard % endpoints == i — the same convention endpoint.info reports.
   // The ClientConfig flows unchanged into every channel and adapter the
   // cluster owns (only target_index is stamped per endpoint).
+  // `client_faults` is installed on the worker channels only, for the
+  // reason make_remote_cluster gives. channels_per_target ==
+  // workers_per_target gives every worker its own channel.
   std::shared_ptr<SutCluster> make_cluster(
       std::size_t workers_per_target, std::size_t channels_per_target = 2,
       const rpc::ClientConfig& config = {},

@@ -125,9 +125,12 @@ HammerDriver::HammerDriver(std::shared_ptr<SutCluster> cluster,
   HAMMER_CHECK(clock_ != nullptr);
   HAMMER_CHECK(options_.worker_threads >= 1);
   load_ = options_.load;
+  HAMMER_CHECK_MSG(!load_ || options_.rate_plan.num_slices() == 0,
+                   "a rate_plan paces the driver's own controller; leave DriverOptions::load null");
   if (!load_) {
     LoadOptions load_options;
     load_options.rate = options_.target_rate;
+    load_options.plan = options_.rate_plan;
     load_options.burst = options_.rate_burst;
     load_options.seed = options_.load_seed;
     load_ = std::make_shared<LoadController>(load_options, clock_);
@@ -137,12 +140,6 @@ HammerDriver::HammerDriver(std::shared_ptr<SutCluster> cluster,
     client_cores_ = std::make_unique<std::counting_semaphore<64>>(options_.client_vcpus);
   }
 }
-
-HammerDriver::HammerDriver(std::vector<std::shared_ptr<adapters::ChainAdapter>> worker_adapters,
-                           std::shared_ptr<adapters::ChainAdapter> poll_adapter,
-                           std::shared_ptr<util::Clock> clock, DriverOptions options)
-    : HammerDriver(SutCluster::single(std::move(worker_adapters), std::move(poll_adapter)),
-                   std::move(clock), std::move(options)) {}
 
 void HammerDriver::charge_client_cpu() {
   if (!client_cores_ || options_.per_tx_client_us <= 0) return;
@@ -172,8 +169,7 @@ bool HammerDriver::route_and_push(std::vector<std::unique_ptr<SendQueue>>& queue
   return true;
 }
 
-void HammerDriver::worker_loop(SutTarget& target, std::size_t slot, SendQueue& queue,
-                               workload::RateController* rate) {
+void HammerDriver::worker_loop(SutTarget& target, std::size_t slot, SendQueue& queue) {
   adapters::ChainAdapter& adapter = target.worker_adapter(slot);
   const std::string& chainname = adapter.info().name;
   const std::size_t batch_limit = std::max<std::size_t>(1, options_.submit_batch_size);
@@ -213,26 +209,20 @@ void HammerDriver::worker_loop(SutTarget& target, std::size_t slot, SendQueue& q
     tx_ids.clear();
     ordinals.clear();
     take(*first);
-    // Coalesce whatever is already signed and waiting, up to the configured
-    // batch size — one JSON-RPC batch frame instead of N round trips.
+    // Fill the batch up to the configured size — one JSON-RPC batch frame
+    // instead of N round trips. Blocking until it is full (or the queue
+    // closes) makes the frame count a function of the workload alone, not
+    // of how far the feeder happened to be ahead, so seeded per-frame
+    // fault draws replay exactly. start_us is stamped after the fill.
     while (batch.size() < batch_limit) {
-      auto more = queue.try_pop();
+      auto more = queue.pop();
       if (!more) break;
       take(*more);
     }
-    if (rate) {
-      // One send deadline per transaction; the batch leaves when its last
-      // member is due, so coalescing preserves the plan's aggregate rate.
-      // An exhausted rate plan still sends the remaining queue immediately
-      // (plan totals and workload size are matched by callers).
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        auto deadline = rate->next_send_time();
-        if (deadline) clock_->sleep_until(*deadline);
-      }
-    }
-    // Closed-loop pacing gate: one token per transaction before the send
-    // leaves. Open-loop controllers return immediately, but still stamp the
-    // release window so offered_rate is measured on every run.
+    // The one pacing gate: one token per transaction before the send leaves
+    // (a batch leaves when its last member's token is due). Open-loop
+    // controllers return immediately, but still stamp the release window so
+    // offered_rate is measured on every run.
     load_->acquire(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) charge_client_cpu();
 
@@ -510,8 +500,7 @@ void HammerDriver::poll_loop(SutTarget& target) {
   }
 }
 
-RunResult HammerDriver::run(const workload::WorkloadFile& workload,
-                            const workload::ControlSequence* rate) {
+RunResult HammerDriver::run(const workload::WorkloadFile& workload) {
   const std::size_t total = workload.transactions.size();
   const std::size_t n_targets = cluster_->size();
   if (options_.trace_every_n > 0) {
@@ -542,9 +531,6 @@ RunResult HammerDriver::run(const workload::WorkloadFile& workload,
   rejections_.store(0);
   send_failures_.store(0);
   stop_polling_.store(false);
-  // Fresh bucket and offered-rate window; the target rate (possibly
-  // retargeted mid-flight last run) carries over.
-  load_->reset();
 
   // Adapters persist across runs, so RunResult::retries is a delta of the
   // lifetime counters (deduped — the poll adapter may double as a worker).
@@ -635,9 +621,11 @@ RunResult HammerDriver::run(const workload::WorkloadFile& workload,
   }
 
   // --- submit + detect stages ---
-  std::unique_ptr<workload::RateController> controller;
-  if (rate) controller = std::make_unique<workload::RateController>(*rate, clock_);
-
+  // Fresh bucket and offered-rate window, and the rate plan (if any)
+  // anchored here — once the feeder is filling the queues, just before the
+  // workers start sending. The target rate (possibly retargeted mid-flight
+  // last run) carries over.
+  load_->reset();
   std::vector<std::thread> pollers;
   if (options_.mode == TrackingMode::kInteractive) {
     pollers.emplace_back([this] { listener_loop(); });
@@ -651,8 +639,8 @@ RunResult HammerDriver::run(const workload::WorkloadFile& workload,
   const std::vector<std::size_t> per_target = split_workers(options_.worker_threads, n_targets);
   for (std::size_t t = 0; t < n_targets; ++t) {
     for (std::size_t slot = 0; slot < per_target[t]; ++slot) {
-      workers.emplace_back([this, t, slot, &queues, &controller] {
-        worker_loop(cluster_->target(t), slot, *queues[t], controller.get());
+      workers.emplace_back([this, t, slot, &queues] {
+        worker_loop(cluster_->target(t), slot, *queues[t]);
       });
     }
   }
@@ -803,19 +791,10 @@ RunResult HammerDriver::run(const workload::WorkloadFile& workload,
   return result;
 }
 
-RunResult run_peak_probe(std::vector<std::shared_ptr<adapters::ChainAdapter>> worker_adapters,
-                         std::shared_ptr<adapters::ChainAdapter> poll_adapter,
-                         std::shared_ptr<util::Clock> clock, DriverOptions options,
-                         const workload::WorkloadFile& workload) {
-  HammerDriver driver(std::move(worker_adapters), std::move(poll_adapter), std::move(clock),
-                      std::move(options));
-  return driver.run(workload, nullptr);  // closed loop = saturation probe
-}
-
 RunResult run_peak_probe(std::shared_ptr<SutCluster> cluster, std::shared_ptr<util::Clock> clock,
                          DriverOptions options, const workload::WorkloadFile& workload) {
   HammerDriver driver(std::move(cluster), std::move(clock), std::move(options));
-  return driver.run(workload, nullptr);
+  return driver.run(workload);
 }
 
 }  // namespace hammer::core

@@ -23,13 +23,13 @@
 //   detect  one poller thread per target scans only the shards that target
 //           owns and feeds the ShardedTaskProcessor (kHammer mode).
 //
-// The legacy constructor (worker adapters + one poll adapter) wraps itself
-// in SutCluster::single — one target, every shard — and behaves exactly as
-// before.
+// Pre-built adapters (a substituted or hand-wired adapter set) enter through
+// SutCluster::single — one target, every shard.
 //
-// Load is either open-loop (a ControlSequence schedules send deadlines —
-// the paper's temporal workload replay) or closed-loop (workers send
-// back-to-back; used for peak-throughput search and the Fig. 10 sweeps).
+// Every send passes one pacing gate, the LoadController: a constant
+// target_rate, a ControlSequence rate_plan (the paper's temporal workload
+// replay), or neither (closed loop: workers send back-to-back; used for
+// peak-throughput search and the Fig. 10 sweeps).
 //
 // The optional client CPU model reproduces the paper's Fig. 10 testbed: the
 // client machine has a fixed number of vCPUs, so per-transaction client
@@ -71,8 +71,8 @@ struct DriverOptions {
   std::chrono::milliseconds drain_timeout{20000};
   std::string server_id = "server-0";
 
-  // How the route stage picks a cluster target per transaction. Ignored by
-  // single-target (legacy) drivers, where every road leads to target 0.
+  // How the route stage picks a cluster target per transaction. Moot for a
+  // single-target cluster, where every road leads to target 0.
   RoutingKind routing = RoutingKind::kRoundRobin;
 
   // kInteractive only: poll each pending transaction with its own
@@ -84,17 +84,21 @@ struct DriverOptions {
   bool pipelined_signing = true;  // false: sign the whole batch up front
   std::size_t sign_queue_capacity = 4096;
 
-  // Closed-loop pacing (DESIGN.md §14): workers acquire tokens from a
-  // LoadController before every send. target_rate = 0 keeps the open-loop
-  // degenerate case (acquire never waits) — fixed-count and paced runs
-  // share one code path either way, and RunResult carries the
-  // target/offered/achieved rates for both.
+  // Pacing (DESIGN.md §14): workers acquire tokens from a LoadController
+  // before every send. target_rate = 0 keeps the open-loop degenerate case
+  // (acquire never waits) — fixed-count and paced runs share one code path
+  // either way, and RunResult carries the target/offered/achieved rates for
+  // both. A non-empty rate_plan is the same setting in time-varying form:
+  // the controller replays it from the start of each run (slice i paces at
+  // counts[i] / slice, open loop after the last slice) and target_rate must
+  // then stay 0.
   double target_rate = 0.0;
+  workload::ControlSequence rate_plan;
   double rate_burst = 64.0;
   std::uint64_t load_seed = 1;
   // Externally-owned controller (e.g. a WorkerSession retargeted live via
-  // control.set_rate). Null: the driver builds its own from the three knobs
-  // above.
+  // control.set_rate). Null: the driver builds its own from the knobs
+  // above; set, it is used as is and rate_plan must be empty.
   std::shared_ptr<LoadController> load;
 
   // Transactions coalesced into one JSON-RPC batch round trip per worker
@@ -162,16 +166,9 @@ class HammerDriver {
   HammerDriver(std::shared_ptr<SutCluster> cluster, std::shared_ptr<util::Clock> clock,
                DriverOptions options);
 
-  // Legacy single-endpoint shape: one adapter per worker thread plus one
-  // for the block poller. Wraps the adapters in SutCluster::single.
-  HammerDriver(std::vector<std::shared_ptr<adapters::ChainAdapter>> worker_adapters,
-               std::shared_ptr<adapters::ChainAdapter> poll_adapter,
-               std::shared_ptr<util::Clock> clock, DriverOptions options);
-
-  // Runs the workload. `rate` schedules open-loop sends; nullptr = closed
-  // loop. Blocks until every transaction completes or drain_timeout passes.
-  RunResult run(const workload::WorkloadFile& workload,
-                const workload::ControlSequence* rate);
+  // Runs the workload, paced by the driver's LoadController. Blocks until
+  // every transaction completes or drain_timeout passes.
+  RunResult run(const workload::WorkloadFile& workload);
 
   // Post-run diagnostics.
   const ShardedTaskProcessor* task_processor() const { return task_processor_.get(); }
@@ -202,8 +199,7 @@ class HammerDriver {
   bool route_and_push(std::vector<std::unique_ptr<SendQueue>>& queues, RoutingPolicy& policy,
                       SendQueueItem item);
 
-  void worker_loop(SutTarget& target, std::size_t slot, SendQueue& queue,
-                   workload::RateController* rate);
+  void worker_loop(SutTarget& target, std::size_t slot, SendQueue& queue);
   void poll_loop(SutTarget& target);  // detect stage, one per target
   void listener_loop();               // interactive mode: receipt polling
   void charge_client_cpu();
@@ -238,15 +234,10 @@ class HammerDriver {
   std::atomic<bool> stop_polling_{false};
 };
 
-// Convenience: searches the SUT's saturation throughput by driving a
-// closed-loop burst of `txs_per_probe` transactions and reporting the
-// measured TPS (used by the Fig. 6 / Fig. 7 peak-performance benches).
-RunResult run_peak_probe(std::vector<std::shared_ptr<adapters::ChainAdapter>> worker_adapters,
-                         std::shared_ptr<adapters::ChainAdapter> poll_adapter,
-                         std::shared_ptr<util::Clock> clock, DriverOptions options,
-                         const workload::WorkloadFile& workload);
-
-// Cluster flavour of the same probe.
+// Convenience: measures the SUT's saturation throughput by driving the
+// workload through one run of a fresh driver and reporting the measured TPS
+// (used by the Fig. 6 / Fig. 7 peak-performance benches). Closed loop
+// unless `options` sets a rate.
 RunResult run_peak_probe(std::shared_ptr<SutCluster> cluster, std::shared_ptr<util::Clock> clock,
                          DriverOptions options, const workload::WorkloadFile& workload);
 

@@ -15,22 +15,40 @@ constexpr util::Duration kMaxSleepSlice = std::chrono::milliseconds(10);
 LoadController::LoadController(LoadOptions options, std::shared_ptr<util::Clock> clock)
     : clock_(std::move(clock)),
       rate_(options.rate > 0.0 ? options.rate : 0.0),
+      plan_(std::move(options.plan)),
       burst_(std::max(1.0, options.burst)),
       jitter_(std::clamp(options.jitter, 0.0, 1.0)),
-      rng_(options.seed, 0x6c0ad5c4c3a2d1e0ULL),
-      tokens_(std::max(1.0, options.burst)) {
+      rng_(options.seed, 0x6c0ad5c4c3a2d1e0ULL) {
   HAMMER_CHECK(clock_ != nullptr);
-  last_refill_ = clock_->now();
+  HAMMER_CHECK_MSG(rate_ == 0.0 || plan_.num_slices() == 0,
+                   "a rate plan replaces the constant rate; set one or the other");
+  reset();
+}
+
+std::ptrdiff_t LoadController::slice_at_locked(util::TimePoint t) const {
+  if (plan_.num_slices() == 0 || t < plan_start_) return -1;
+  const auto i = static_cast<std::ptrdiff_t>((t - plan_start_) / plan_.slice());
+  return i < static_cast<std::ptrdiff_t>(plan_.num_slices()) ? i : -1;
+}
+
+double LoadController::slice_rate(std::ptrdiff_t i) const {
+  return plan_.counts()[static_cast<std::size_t>(i)] /
+         std::chrono::duration<double>(plan_.slice()).count();
+}
+
+util::TimePoint LoadController::slice_end(std::ptrdiff_t i) const {
+  return plan_start_ + plan_.slice() * (i + 1);
 }
 
 bool LoadController::open_loop() const {
   std::scoped_lock lock(mu_);
-  return rate_ <= 0.0;
+  return rate_ <= 0.0 && slice_at_locked(clock_->now()) < 0;
 }
 
 double LoadController::target_rate() const {
   std::scoped_lock lock(mu_);
-  return rate_;
+  const std::ptrdiff_t slice = slice_at_locked(clock_->now());
+  return slice >= 0 ? slice_rate(slice) : rate_;
 }
 
 void LoadController::set_rate(double rate) {
@@ -38,68 +56,72 @@ void LoadController::set_rate(double rate) {
   // Refill at the OLD rate first so tokens accrued up to this instant are
   // honest, then switch.
   refill_locked(clock_->now());
+  plan_ = {};
   rate_ = rate > 0.0 ? rate : 0.0;
 }
 
 void LoadController::refill_locked(util::TimePoint now) {
-  if (rate_ <= 0.0) {
-    last_refill_ = now;
-    return;
-  }
-  const double elapsed_s =
-      std::chrono::duration_cast<std::chrono::duration<double>>(now - last_refill_).count();
-  if (elapsed_s > 0.0) {
-    tokens_ = std::min(burst_, tokens_ + elapsed_s * rate_);
-    last_refill_ = now;
+  // Integrate the rate over (last_refill_, now], one plan slice at a time.
+  while (last_refill_ < now) {
+    util::TimePoint until = now;
+    double rate = rate_;
+    if (const std::ptrdiff_t slice = slice_at_locked(last_refill_); slice >= 0) {
+      until = std::min(now, slice_end(slice));
+      rate = slice_rate(slice);
+    }
+    const double elapsed_s = std::chrono::duration<double>(until - last_refill_).count();
+    tokens_ = std::min(burst_, tokens_ + elapsed_s * rate);
+    last_refill_ = until;
   }
 }
 
-void LoadController::acquire(std::size_t n) {
-  if (n == 0) return;
-  const auto want = static_cast<double>(n);
-  for (;;) {
-    util::Duration wait{};
-    {
-      std::scoped_lock lock(mu_);
-      if (rate_ <= 0.0) {
-        // Open loop: account the release, never wait.
-        std::int64_t now_us = clock_->now_us();
-        if (released_ == 0) first_release_us_ = now_us;
-        last_release_us_ = now_us;
-        released_ += n;
-        return;
-      }
-      util::TimePoint now = clock_->now();
-      refill_locked(now);
-      // A batch bigger than the bucket can never see `want` tokens at once;
-      // let it leave at burst-full and drive the balance negative (debt) —
-      // later acquirers absorb the debt, keeping the average rate exact.
-      const double need = std::min(want, burst_);
-      if (tokens_ >= need) {
-        tokens_ -= want;
-        std::int64_t now_us = clock_->now_us();
-        if (released_ == 0) first_release_us_ = now_us;
-        last_release_us_ = now_us;
-        released_ += n;
-        return;
-      }
-      double wait_s = (need - tokens_) / rate_;
-      if (jitter_ > 0.0) {
-        // Deterministic roughening: scale the wait by 1 ± jitter using the
-        // seeded stream (pure function of seed and draw index).
-        wait_s *= 1.0 + jitter_ * (2.0 * rng_.uniform01() - 1.0);
-      }
-      wait = std::chrono::duration_cast<util::Duration>(
-          std::chrono::duration<double>(std::max(0.0, wait_s)));
-    }
-    clock_->sleep_for(std::min(wait, kMaxSleepSlice));
+bool LoadController::try_acquire(std::size_t n, util::Duration* wait) {
+  if (n == 0) return true;
+  std::scoped_lock lock(mu_);
+  const util::TimePoint now = clock_->now();
+  refill_locked(now);
+  const std::ptrdiff_t slice = slice_at_locked(now);
+  const double rate = slice >= 0 ? slice_rate(slice) : rate_;
+  const bool open = slice < 0 && rate <= 0.0;
+  // A batch bigger than the bucket can never see `want` tokens at once; let
+  // it leave at burst-full and drive the balance negative (debt) — later
+  // acquirers absorb the debt, keeping the average rate exact. The epsilon
+  // absorbs float drift from refilling in many small steps.
+  const double want = static_cast<double>(n);
+  const double need = std::min(want, burst_);
+  if (open || tokens_ + 1e-9 >= need) {
+    if (!open) tokens_ -= want;
+    const std::int64_t now_us =
+        std::chrono::duration_cast<std::chrono::microseconds>(now.time_since_epoch()).count();
+    if (released_ == 0) first_release_us_ = now_us;
+    last_release_us_ = now_us;
+    released_ += n;
+    return true;
   }
+  // A zero-count plan slice pauses: wait for the slice to end, never divide
+  // by its zero rate.
+  double wait_s = rate > 0.0 ? (need - tokens_) / rate
+                             : std::chrono::duration<double>(slice_end(slice) - now).count();
+  if (jitter_ > 0.0) {
+    // Deterministic roughening: scale the wait by 1 ± jitter using the
+    // seeded stream (pure function of seed and draw index).
+    wait_s *= 1.0 + jitter_ * (2.0 * rng_.uniform01() - 1.0);
+  }
+  if (wait != nullptr) {
+    *wait = std::chrono::ceil<util::Duration>(std::chrono::duration<double>(std::max(0.0, wait_s)));
+  }
+  return false;
+}
+
+void LoadController::acquire(std::size_t n) {
+  util::Duration wait{};
+  while (!try_acquire(n, &wait)) clock_->sleep_for(std::min(wait, kMaxSleepSlice));
 }
 
 void LoadController::reset() {
   std::scoped_lock lock(mu_);
-  tokens_ = burst_;
-  last_refill_ = clock_->now();
+  tokens_ = plan_.num_slices() > 0 ? 0.5 : burst_;
+  last_refill_ = plan_start_ = clock_->now();
   released_ = 0;
   first_release_us_ = 0;
   last_release_us_ = 0;

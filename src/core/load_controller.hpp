@@ -8,12 +8,21 @@
 // immediately), so paced and best-effort runs share one code path and one
 // accounting surface.
 //
+// The rate may also follow a temporal control sequence (paper §III-B1):
+// slice i of the plan refills at counts[i] / slice, so the bucket replays
+// the sequence as a piecewise-constant rate. The plan is anchored at
+// construction and at every reset(); a zero-count slice pauses sending;
+// once the last slice has passed the controller is open loop. A planned
+// bucket starts half a token full instead of burst-full, so the plan gets
+// no initial burst and each send sits mid-way through its 1/rate interval
+// (a whole-number plan releases exactly its total before it ends).
+//
 // The controller is live-retargetable: set_rate() takes effect on the next
-// refill, and waiting acquirers sleep in short slices so a mid-run
-// control.set_rate never strands a worker in a stale long sleep. All state
-// sits behind one mutex — acquire is called once per coalesced batch, not
-// per transaction, so the lock is cold next to the send round trip it
-// gates.
+// refill (and cancels a plan), and waiting acquirers sleep in short slices
+// so a mid-run control.set_rate never strands a worker in a stale long
+// sleep. All state sits behind one mutex — acquire is called once per
+// coalesced batch, not per transaction, so the lock is cold next to the
+// send round trip it gates.
 //
 // Offered-rate accounting: the controller stamps the first and last token
 // release of the run; offered_rate() is releases per second of that
@@ -34,12 +43,16 @@
 
 #include "util/clock.hpp"
 #include "util/random.hpp"
+#include "workload/control_sequence.hpp"
 
 namespace hammer::core {
 
 struct LoadOptions {
   // Target aggregate send rate in tx/s. 0 = open loop (unlimited).
   double rate = 0.0;
+  // Or a control sequence to replay instead of a constant rate (empty = no
+  // plan). The two are one setting: a plan with rate > 0 is rejected.
+  workload::ControlSequence plan;
   // Token-bucket capacity: how many sends may leave back-to-back after an
   // idle spell before pacing kicks in.
   double burst = 64.0;
@@ -56,11 +69,14 @@ class LoadController {
   LoadController(const LoadController&) = delete;
   LoadController& operator=(const LoadController&) = delete;
 
-  bool open_loop() const;     // target_rate() == 0
+  // Open loop: no constant rate and no plan slice in force. A paused (zero-
+  // count) plan slice is not open loop.
+  bool open_loop() const;
+  // The rate in force now: the current plan slice's while a plan runs.
   double target_rate() const;
 
-  // Live retarget; <= 0 switches to open loop. Takes effect within one
-  // sleep slice (~10 ms) for already-waiting acquirers.
+  // Live retarget; <= 0 switches to open loop. Cancels a plan. Takes effect
+  // within one sleep slice (~10 ms) for already-waiting acquirers.
   void set_rate(double rate);
 
   // Blocks until n tokens are available (immediately in open loop). A batch
@@ -69,8 +85,13 @@ class LoadController {
   // batch size.
   void acquire(std::size_t n);
 
-  // Clears the bucket and the offered-rate window for a fresh run. The
-  // target rate is kept — reset() is per-run, set_rate() is per-plan.
+  // Non-blocking acquire: releases n tokens and returns true, or returns
+  // false and stores in *wait how long until it could succeed.
+  bool try_acquire(std::size_t n, util::Duration* wait = nullptr);
+
+  // Clears the bucket and the offered-rate window for a fresh run, and
+  // re-anchors the plan at now. The target rate and plan are kept —
+  // reset() is per-run, set_rate() is per-plan.
   void reset();
 
   std::uint64_t released() const;
@@ -81,14 +102,20 @@ class LoadController {
 
  private:
   void refill_locked(util::TimePoint now);
+  // Index of the plan slice in force at `t`, or -1 when no plan slice is.
+  std::ptrdiff_t slice_at_locked(util::TimePoint t) const;
+  double slice_rate(std::ptrdiff_t i) const;
+  util::TimePoint slice_end(std::ptrdiff_t i) const;
 
   std::shared_ptr<util::Clock> clock_;
   mutable std::mutex mu_;
   double rate_;
+  workload::ControlSequence plan_;
+  util::TimePoint plan_start_;
   double burst_;
   double jitter_;
   util::Pcg32 rng_;
-  double tokens_;
+  double tokens_ = 0.0;
   util::TimePoint last_refill_;
   std::uint64_t released_ = 0;
   std::int64_t first_release_us_ = 0;

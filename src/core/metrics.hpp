@@ -127,7 +127,7 @@ struct RunResult {
   json::Value faults;
 
   // Per-cluster-target deltas for this run (array of {target, submitted,
-  // completed, shards}); a legacy single-endpoint driver gets a one-entry
+  // completed, shards}); a single-endpoint cluster gets a one-entry
   // array.
   json::Value targets;
 

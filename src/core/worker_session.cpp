@@ -207,7 +207,7 @@ json::Value WorkerSession::handle_start(const json::Value&) {
   state_ = State::kRunning;
   run_thread_ = std::thread([this] {
     HammerDriver driver(cluster_, util::SteadyClock::shared(), driver_options_);
-    RunResult result = driver.run(workload_, /*rate=*/nullptr);
+    RunResult result = driver.run(workload_);
     std::lock_guard<std::mutex> lock(mu_);
     result_ = std::move(result);
     state_ = State::kDone;

@@ -5,7 +5,7 @@
 // rpc::RetryPolicy + seed, and transport knobs hard-coded at each
 // TcpChannel construction site. ClientConfig collapses
 // them into one value that flows unchanged through make_adapter,
-// ChannelPool, DeployedChain::make_adapters/make_cluster and the SutCluster
+// ChannelPool, DeployedChain::connect/make_cluster and the SutCluster
 // builders — and adds the codec preference the wire redesign introduces.
 //
 // ClientConfig is the ONLY way to configure the client surface: the legacy

@@ -107,18 +107,11 @@ TrialOutcome LocalTrialRunner::run_trial(const TrialPoint& point) {
   workload::WorkloadFile wf =
       workload::generate_workload(profile, sut.smallbank_accounts, point.txs);
 
-  const std::size_t endpoints = sut.endpoint_count();
-  core::RunResult result;
-  if (endpoints > 1) {
-    std::size_t per_target = std::max<std::size_t>(1, options.worker_threads / endpoints);
-    core::HammerDriver driver(sut.make_cluster(per_target, channels_per_target),
-                              util::SteadyClock::shared(), options);
-    result = driver.run(wf, nullptr);
-  } else {
-    core::HammerDriver driver(sut.make_adapters(options.worker_threads),
-                              sut.make_adapters(1)[0], util::SteadyClock::shared(), options);
-    result = driver.run(wf, nullptr);
-  }
+  const std::size_t per_target =
+      std::max<std::size_t>(1, options.worker_threads / sut.endpoint_count());
+  core::HammerDriver driver(sut.make_cluster(per_target, channels_per_target),
+                            util::SteadyClock::shared(), options);
+  core::RunResult result = driver.run(wf);
   return outcome_from_run(point, config_.slo_p99_ms, result.committed, result.failed,
                           result.tps, result.latency.percentile(50),
                           result.latency.percentile(99));

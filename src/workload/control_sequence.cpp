@@ -1,7 +1,6 @@
 #include "workload/control_sequence.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -82,39 +81,6 @@ ControlSequence ControlSequence::load(const std::string& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return from_json(json::Value::parse(buffer.str()));
-}
-
-RateController::RateController(ControlSequence sequence, std::shared_ptr<util::Clock> clock)
-    : sequence_(std::move(sequence)), clock_(std::move(clock)) {
-  HAMMER_CHECK(clock_ != nullptr);
-  start_ = clock_->now();
-  double planned = 0;
-  for (double c : sequence_.counts()) planned += c;
-  total_planned_ = static_cast<std::uint64_t>(planned);
-}
-
-std::optional<util::TimePoint> RateController::next_send_time() {
-  std::scoped_lock lock(mu_);
-  for (;;) {
-    if (slice_index_ >= sequence_.num_slices()) return std::nullopt;
-    if (issued_in_slice_ == 0) {
-      // Entering the slice: fix its integer quota, carrying fractions.
-      double want = sequence_.counts()[slice_index_] + carry_;
-      slice_quota_ = static_cast<std::uint64_t>(want);
-      carry_ = want - static_cast<double>(slice_quota_);
-    }
-    if (issued_in_slice_ < slice_quota_) {
-      util::TimePoint slice_start =
-          start_ + sequence_.slice() * static_cast<std::int64_t>(slice_index_);
-      // Spread sends uniformly across the slice.
-      auto offset = sequence_.slice() * static_cast<std::int64_t>(issued_in_slice_) /
-                    static_cast<std::int64_t>(slice_quota_);
-      ++issued_in_slice_;
-      return slice_start + offset;
-    }
-    ++slice_index_;
-    issued_in_slice_ = 0;
-  }
 }
 
 }  // namespace hammer::workload

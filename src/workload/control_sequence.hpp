@@ -4,12 +4,12 @@
 //
 // A sequence holds one transaction count per time slice. The forecast
 // module (src/forecast) produces extended sequences from learned models;
-// the RateController turns a sequence into an open-loop send schedule.
+// core::LoadController replays a sequence as a piecewise-constant send rate
+// (DriverOptions::rate_plan), so planned and constant-rate runs share the
+// driver's one pacing gate.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,32 +48,6 @@ class ControlSequence {
  private:
   std::vector<double> counts_;
   util::Duration slice_{std::chrono::seconds(1)};
-};
-
-// Open-loop scheduler: spreads each slice's transactions uniformly across
-// the slice and yields absolute send deadlines. Thread-safe: concurrent
-// workers can pull deadlines from one controller.
-class RateController {
- public:
-  RateController(ControlSequence sequence, std::shared_ptr<util::Clock> clock);
-
-  // Next absolute send time, or nullopt when the sequence is exhausted.
-  // Deadlines are monotonically non-decreasing across calls.
-  std::optional<util::TimePoint> next_send_time();
-
-  std::uint64_t total_planned() const { return total_planned_; }
-
- private:
-  ControlSequence sequence_;
-  std::shared_ptr<util::Clock> clock_;
-  util::TimePoint start_;
-  std::uint64_t total_planned_ = 0;
-
-  std::mutex mu_;
-  std::size_t slice_index_ = 0;
-  std::uint64_t issued_in_slice_ = 0;
-  std::uint64_t slice_quota_ = 0;
-  double carry_ = 0.0;  // fractional counts carry into the next slice
 };
 
 }  // namespace hammer::workload

@@ -34,7 +34,8 @@ TEST(DeploymentTest, InProcAdaptersWork) {
                 "smallbank_accounts_per_shard": 4}]
   })");
   Deployment deployment = Deployment::deploy(plan, util::SteadyClock::shared());
-  auto adapters = deployment.at("fab").make_adapters(3);
+  auto cluster = deployment.at("fab").make_cluster(3, 3);
+  const auto& adapters = cluster->target(0).worker_adapters();
   ASSERT_EQ(adapters.size(), 3u);
   for (const auto& adapter : adapters) {
     EXPECT_EQ(adapter->info().kind, "fabric");
@@ -54,8 +55,8 @@ TEST(DeploymentTest, TcpTransportServes) {
                 "transport": "tcp", "smallbank_accounts_per_shard": 2}]
   })");
   Deployment deployment = Deployment::deploy(plan, util::SteadyClock::shared());
-  auto adapters = deployment.at("neu-tcp").make_adapters(1);
-  EXPECT_EQ(adapters[0]->info().name, "neu-tcp");
+  adapters::ChainAdapter adapter(deployment.at("neu-tcp").connect());
+  EXPECT_EQ(adapter.info().name, "neu-tcp");
 }
 
 TEST(DeploymentTest, CustomGenesisBalances) {
@@ -65,7 +66,7 @@ TEST(DeploymentTest, CustomGenesisBalances) {
                 "initial_checking": 42, "initial_savings": 7}]
   })");
   Deployment deployment = Deployment::deploy(plan, util::SteadyClock::shared());
-  auto adapter = deployment.at("neu").make_adapters(1)[0];
+  auto adapter = std::make_shared<adapters::ChainAdapter>(deployment.at("neu").connect());
   const std::string& acct = deployment.at("neu").smallbank_accounts[0];
   json::Value balances =
       adapter->query(0, "smallbank", "query", json::object({{"customer", acct}}));
@@ -85,7 +86,7 @@ TEST(DeploymentTest, FaultsKeyInstallsASharedInjector) {
   EXPECT_DOUBLE_EQ(sut.fault_injector->plan().submit_reject_p, 1.0);
 
   // The injector really is wired into the SUT: every submit is rejected.
-  auto adapter = sut.make_adapters(1)[0];
+  auto adapter = std::make_shared<adapters::ChainAdapter>(sut.connect());
   chain::Transaction tx;
   tx.contract = "smallbank";
   tx.op = "deposit_checking";
@@ -162,6 +163,30 @@ TEST(DeploymentTest, MakeClusterBuildsOneTargetPerEndpoint) {
     EXPECT_EQ(cluster->owner_of_shard(static_cast<std::uint32_t>(i)), i);
     EXPECT_EQ(target.poll_adapter()->target_index(), i);
   }
+}
+
+TEST(DeploymentTest, MakeClusterKeepsClientFaultsOffThePollChannel) {
+  // The poller's send count follows timing; a fault draw on it would shift
+  // the seeded worker-channel trace. Every send on a faulted channel draws
+  // (and, at p = 1, injects) a client latency fault, so polling through the
+  // cluster's poll adapter must leave the injector's count untouched.
+  json::Value plan = json::Value::parse(R"({
+    "chains": [{"kind": "neuchain", "name": "neu", "block_interval_ms": 10,
+                "transport": "tcp", "smallbank_accounts_per_shard": 2}]
+  })");
+  Deployment deployment = Deployment::deploy(plan, util::SteadyClock::shared());
+  fault::FaultPlan fault_plan;
+  fault_plan.client_latency_p = 1.0;
+  fault_plan.client_latency_us = 1;
+  auto faults = std::make_shared<fault::FaultInjector>(fault_plan);
+  auto cluster = deployment.at("neu").make_cluster(2, 2, {}, faults);
+  SutTarget& target = cluster->target(0);
+
+  const std::uint64_t before = faults->total_injected();
+  for (int i = 0; i < 5; ++i) target.poll_adapter()->height(0);
+  EXPECT_EQ(faults->total_injected(), before);
+  target.worker_adapter(0).height(0);
+  EXPECT_EQ(faults->total_injected(), before + 1);
 }
 
 TEST(DeploymentTest, UnknownNameThrows) {

@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "core/deployment.hpp"
+#include "telemetry/registry.hpp"
 
 namespace hammer::core {
 namespace {
@@ -36,12 +37,14 @@ struct Harness {
                                        count);
   }
 
-  RunResult run(DriverOptions options, std::size_t count,
-                const workload::ControlSequence* rate = nullptr) {
-    auto& sut = deployment->at("sut");
-    HammerDriver driver(sut.make_adapters(options.worker_threads), sut.make_adapters(1)[0],
-                        util::SteadyClock::shared(), std::move(options));
-    return driver.run(make_workload(count), rate);
+  // One channel per worker plus a poller on its own channel.
+  std::shared_ptr<SutCluster> make_cluster(const DriverOptions& options) {
+    return deployment->at("sut").make_cluster(options.worker_threads, options.worker_threads);
+  }
+
+  RunResult run(DriverOptions options, std::size_t count) {
+    HammerDriver driver(make_cluster(options), util::SteadyClock::shared(), std::move(options));
+    return driver.run(make_workload(count));
   }
 
   std::unique_ptr<Deployment> deployment;
@@ -65,13 +68,15 @@ TEST(DriverTest, HammerModeOpenLoopFollowsRatePlan) {
   Harness h("neuchain");
   DriverOptions options;
   options.worker_threads = 2;
-  workload::ControlSequence rate =
+  options.rate_plan =
       workload::ControlSequence::constant(400.0, 500ms, 100ms);  // 200 tx over 0.5s
-  RunResult result = h.run(options, 200, &rate);
+  RunResult result = h.run(options, 200);
   EXPECT_EQ(result.submitted, 200u);
   EXPECT_EQ(result.unmatched, 0u);
   // Open loop at 400 tx/s: the run should take roughly >= 0.4s.
   EXPECT_GE(result.duration_s, 0.3);
+  // The plan rides the one pacing gate, so the gate's offered rate tracks it.
+  EXPECT_NEAR(result.offered_rate, 400.0, 40.0);
 }
 
 TEST(DriverTest, BatchQueueModeMatchesHammerCounts) {
@@ -164,9 +169,8 @@ void expect_registered_ids_on_chain(Harness& h, DriverOptions options, std::size
     expected.push_back(tx.compute_id());
   }
   auto& sut = h.deployment->at("sut");
-  HammerDriver driver(sut.make_adapters(options.worker_threads), sut.make_adapters(1)[0],
-                      util::SteadyClock::shared(), options);
-  RunResult result = driver.run(workload, nullptr);
+  HammerDriver driver(h.make_cluster(options), util::SteadyClock::shared(), options);
+  RunResult result = driver.run(workload);
   EXPECT_EQ(result.submitted, count);
   EXPECT_EQ(result.unmatched, 0u);
   EXPECT_EQ(result.rejected, 0u);
@@ -223,10 +227,9 @@ TEST(DriverTest, OverloadIsCountedAsRejected) {
   DriverOptions options;
   options.worker_threads = 2;
   options.drain_timeout = 5s;
-  auto& sut = deployment.at("tiny");
-  HammerDriver driver(sut.make_adapters(2), sut.make_adapters(1)[0],
-                      util::SteadyClock::shared(), options);
-  RunResult result = driver.run(wf, nullptr);
+  HammerDriver driver(deployment.at("tiny").make_cluster(2, 2), util::SteadyClock::shared(),
+                      options);
+  RunResult result = driver.run(wf);
   // Pool of 20 with a 2s epoch: a 200-tx closed-loop burst must overflow.
   EXPECT_GT(result.rejected, 0u);
   EXPECT_EQ(result.submitted, 200u);
@@ -249,9 +252,8 @@ TEST(DriverTest, BatchedSubmitOverTcpCompletesWorkload) {
   DriverOptions options;
   options.worker_threads = 2;
   options.submit_batch_size = 8;
-  HammerDriver driver(sut.make_adapters(2), sut.make_adapters(1)[0],
-                      util::SteadyClock::shared(), options);
-  RunResult result = driver.run(wf, nullptr);
+  HammerDriver driver(sut.make_cluster(2, 2), util::SteadyClock::shared(), options);
+  RunResult result = driver.run(wf);
   EXPECT_EQ(result.submitted, 300u);
   EXPECT_EQ(result.unmatched, 0u);
   EXPECT_GT(result.committed, 200u);
@@ -297,9 +299,9 @@ TEST(DriverTest, MidRunConnectionResetsAreRetriedToCompletion) {
   options.worker_threads = 2;
   options.submit_batch_size = 4;
   options.fault_injector = client_faults;
-  HammerDriver driver(sut.make_adapters(2, adapter_config, client_faults),
-                      sut.make_adapters(1)[0], util::SteadyClock::shared(), options);
-  RunResult result = driver.run(wf, nullptr);
+  HammerDriver driver(sut.make_cluster(2, 2, adapter_config, client_faults),
+                      util::SteadyClock::shared(), options);
+  RunResult result = driver.run(wf);
 
   EXPECT_EQ(result.submitted, 300u);
   EXPECT_EQ(result.unmatched, 0u);
@@ -341,9 +343,10 @@ TEST(DriverTest, ExhaustedRetriesFailTxsButKeepTheRunAlive) {
   options.submit_batch_size = 4;
   options.drain_timeout = 2s;
   options.fault_injector = faults;
-  HammerDriver driver({worker}, sut.make_adapters(1)[0], util::SteadyClock::shared(),
+  auto poller = std::make_shared<adapters::ChainAdapter>(sut.connect());
+  HammerDriver driver(SutCluster::single({worker}, poller), util::SteadyClock::shared(),
                       options);
-  RunResult result = driver.run(wf, nullptr);  // must not terminate the process
+  RunResult result = driver.run(wf);  // must not terminate the process
 
   EXPECT_EQ(result.submitted, 50u);
   EXPECT_EQ(result.send_failures, 50u);
@@ -408,6 +411,28 @@ TEST(DriverTest, SharedLoadControllerIsRetargetableMidRun) {
   // 20 s the original rate would have needed.
   EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10));
   EXPECT_DOUBLE_EQ(result.target_rate, 100000.0);
+}
+
+TEST(DriverTest, BatchFramesAreAFunctionOfTheWorkloadAlone) {
+  // One worker, batches of 4, 402 txs: 100 full frames and one of 2, however
+  // far the feeder happens to be ahead — so one client fault draw per frame
+  // replays the same sequence on every run.
+  Harness h("neuchain");
+  DriverOptions warmup;
+  warmup.server_id = "warmup";
+  h.run(warmup, 4);  // registers the driver's series with its own bounds
+  telemetry::StageHistogram& frames =
+      telemetry::MetricRegistry::global().histogram("hammer_driver_batch_txs");
+  for (int repeat = 0; repeat < 5; ++repeat) {
+    DriverOptions options;
+    options.worker_threads = 1;
+    options.submit_batch_size = 4;
+    options.server_id = "server-" + std::to_string(repeat);
+    const std::uint64_t before = frames.snapshot().count;
+    RunResult result = h.run(options, 402);
+    EXPECT_EQ(result.submitted, 402u);
+    EXPECT_EQ(frames.snapshot().count - before, 101u) << "repeat " << repeat;
+  }
 }
 
 TEST(DriverTest, ClientCpuModelLimitsThroughput) {

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 #include <vector>
+
+#include "util/errors.hpp"
 
 namespace hammer::core {
 namespace {
@@ -141,6 +144,129 @@ TEST(LoadControllerTest, ConcurrentAcquirersShareTheBucketExactly) {
   // 800 tokens at 8000/s: aggregate offered rate must stay near target even
   // with four workers contending (generous band — scheduling noise).
   EXPECT_NEAR(load.offered_rate(), 8000.0, 8000.0 * 0.25);
+}
+
+// --- Plan replay: a ControlSequence rides the same bucket ----------------
+
+using namespace std::chrono_literals;
+
+struct PlanHarness {
+  explicit PlanHarness(std::vector<double> counts, util::Duration slice = 1s)
+      : clock(std::make_shared<util::ManualClock>()),
+        load(plan_options(std::move(counts), slice), clock) {}
+
+  static LoadOptions plan_options(std::vector<double> counts, util::Duration slice) {
+    LoadOptions options;
+    options.plan = workload::ControlSequence(std::move(counts), slice);
+    return options;
+  }
+
+  // Steps the clock through `span` in 1 ms ticks, taking every token the
+  // controller grants at each tick; returns the release instants in ms
+  // since the plan's anchor. `span` must end inside the plan: past it the
+  // controller is open loop and would grant forever.
+  std::vector<std::int64_t> drive(std::chrono::milliseconds span) {
+    std::vector<std::int64_t> sends;
+    for (util::TimePoint end = clock->now() + span; clock->now() < end; clock->advance_ms(1)) {
+      while (load.try_acquire(1)) sends.push_back(clock->now_ms());
+    }
+    return sends;
+  }
+
+  static std::size_t count_in(const std::vector<std::int64_t>& sends, std::int64_t from_ms,
+                              std::int64_t to_ms) {
+    return static_cast<std::size_t>(std::count_if(
+        sends.begin(), sends.end(), [&](std::int64_t t) { return t >= from_ms && t < to_ms; }));
+  }
+
+  std::shared_ptr<util::ManualClock> clock;
+  LoadController load;
+};
+
+TEST(LoadControllerPlanTest, ReleasesThePlannedTotalSliceBySlice) {
+  PlanHarness h({5.0, 3.0});
+  std::vector<std::int64_t> sends = h.drive(2000ms);
+  EXPECT_EQ(sends.size(), 8u);
+  EXPECT_NEAR(static_cast<double>(PlanHarness::count_in(sends, 0, 1000)), 5.0, 1.0);
+  EXPECT_NEAR(static_cast<double>(PlanHarness::count_in(sends, 1000, 2000)), 3.0, 1.0);
+}
+
+TEST(LoadControllerPlanTest, ReleasesAreMonotoneAndWithinSlices) {
+  PlanHarness h({4.0, 2.0});
+  std::vector<std::int64_t> sends = h.drive(2000ms);
+  ASSERT_EQ(sends.size(), 6u);
+  EXPECT_TRUE(std::is_sorted(sends.begin(), sends.end()));
+  // First four within slice 0, last two within slice 1.
+  EXPECT_EQ(PlanHarness::count_in(sends, 0, 1000), 4u);
+  EXPECT_EQ(PlanHarness::count_in(sends, 1000, 2000), 2u);
+}
+
+TEST(LoadControllerPlanTest, FractionalCountsCarryAcrossSlices) {
+  PlanHarness h({0.5, 0.5, 0.5, 0.5});
+  EXPECT_EQ(h.drive(4000ms).size(), 2u);
+}
+
+TEST(LoadControllerPlanTest, NoInitialBurstSendsSpreadAcrossTheSlice) {
+  PlanHarness h({4.0});  // default 64-token burst must not apply at the start
+  EXPECT_FALSE(h.load.try_acquire(1));
+  std::vector<std::int64_t> sends = h.drive(1000ms);
+  ASSERT_EQ(sends.size(), 4u);
+  for (std::size_t i = 1; i < sends.size(); ++i) {
+    EXPECT_NEAR(static_cast<double>(sends[i] - sends[i - 1]), 250.0, 1.0);
+  }
+}
+
+TEST(LoadControllerPlanTest, ZeroCountSlicesPauseAndDoNotOpenTheLoop) {
+  PlanHarness all_zero({0.0, 0.0});
+  EXPECT_FALSE(all_zero.load.open_loop());
+  util::Duration wait{};
+  EXPECT_FALSE(all_zero.load.try_acquire(1, &wait));
+  EXPECT_GT(wait, util::Duration::zero());
+  EXPECT_TRUE(all_zero.drive(2000ms).empty());
+
+  PlanHarness gap({3.0, 0.0, 3.0});
+  std::vector<std::int64_t> sends = gap.drive(3000ms);
+  EXPECT_EQ(sends.size(), 6u);
+  EXPECT_EQ(PlanHarness::count_in(sends, 1000, 2000), 0u);
+}
+
+TEST(LoadControllerPlanTest, OpenLoopAfterThePlanEnds) {
+  PlanHarness h({2.0});
+  EXPECT_FALSE(h.load.open_loop());
+  EXPECT_DOUBLE_EQ(h.load.target_rate(), 2.0);
+  h.clock->advance(1s);
+  EXPECT_TRUE(h.load.open_loop());
+  EXPECT_DOUBLE_EQ(h.load.target_rate(), 0.0);
+  EXPECT_TRUE(h.load.try_acquire(1000));
+}
+
+TEST(LoadControllerPlanTest, SetRateCancelsThePlan) {
+  PlanHarness h({0.0, 0.0});
+  h.load.set_rate(100.0);
+  EXPECT_DOUBLE_EQ(h.load.target_rate(), 100.0);
+  h.clock->advance(10ms);
+  EXPECT_TRUE(h.load.try_acquire(1));  // the paused slice no longer holds it
+  h.clock->advance(5s);
+  EXPECT_FALSE(h.load.open_loop());  // no plan end to fall open at
+  EXPECT_DOUBLE_EQ(h.load.target_rate(), 100.0);
+  h.load.reset();
+  EXPECT_DOUBLE_EQ(h.load.target_rate(), 100.0);  // reset does not revive it
+}
+
+TEST(LoadControllerPlanTest, ResetReAnchorsThePlan) {
+  PlanHarness h({2.0});
+  EXPECT_EQ(h.drive(1000ms).size(), 2u);
+  EXPECT_TRUE(h.load.open_loop());
+  h.load.reset();
+  EXPECT_FALSE(h.load.open_loop());
+  EXPECT_EQ(h.load.released(), 0u);
+  EXPECT_EQ(h.drive(1000ms).size(), 2u);
+}
+
+TEST(LoadControllerPlanTest, APlanAndAConstantRateAreOneSetting) {
+  LoadOptions options = PlanHarness::plan_options({1.0}, 1s);
+  options.rate = 10.0;
+  EXPECT_THROW({ LoadController load(options, clock_ptr()); }, LogicError);
 }
 
 }  // namespace

@@ -101,7 +101,8 @@ TEST(RoutingPolicyTest, LeastInFlightAvoidsLoadedTargetsAndBreaksTiesLow) {
 TEST(SutClusterTest, SingleWrapsLegacyAdaptersAndOwnsEveryShard) {
   ClusterHarness h(1);
   auto& sut = h.deployment->at("sut");
-  auto cluster = SutCluster::single(sut.make_adapters(2), sut.make_adapters(1)[0]);
+  auto adapter = [&] { return std::make_shared<adapters::ChainAdapter>(sut.connect()); };
+  auto cluster = SutCluster::single({adapter(), adapter()}, adapter());
   ASSERT_EQ(cluster->size(), 1u);
   EXPECT_EQ(cluster->total_shards(), 4u);
   EXPECT_EQ(cluster->target(0).shards().size(), 4u);
@@ -115,7 +116,7 @@ TEST(SutClusterTest, ShardAffineDrivingProducesZeroMisroutes) {
   options.routing = RoutingKind::kShardAffine;
   options.task_processor.shards = 4;
   HammerDriver driver(h.cluster, util::SteadyClock::shared(), options);
-  RunResult result = driver.run(h.make_workload(300), nullptr);
+  RunResult result = driver.run(h.make_workload(300));
   EXPECT_EQ(result.submitted, 300u);
   EXPECT_EQ(result.unmatched, 0u);
   // Every transaction entered through the endpoint owning its sender's
@@ -141,7 +142,7 @@ TEST(SutClusterTest, RoundRobinDrivingMisroutesOnAShardedSut) {
   options.worker_threads = 4;
   options.routing = RoutingKind::kRoundRobin;
   HammerDriver driver(h.cluster, util::SteadyClock::shared(), options);
-  RunResult result = driver.run(h.make_workload(200), nullptr);
+  RunResult result = driver.run(h.make_workload(200));
   EXPECT_EQ(result.submitted, 200u);
   EXPECT_EQ(result.unmatched, 0u);
   // Endpoint-agnostic spray: ~3/4 of submissions enter through the wrong
@@ -155,7 +156,7 @@ TEST(SutClusterTest, LeastInFlightDrivingCompletesTheWorkload) {
   options.worker_threads = 2;
   options.routing = RoutingKind::kLeastInFlight;
   HammerDriver driver(h.cluster, util::SteadyClock::shared(), options);
-  RunResult result = driver.run(h.make_workload(200), nullptr);
+  RunResult result = driver.run(h.make_workload(200));
   EXPECT_EQ(result.submitted, 200u);
   EXPECT_EQ(result.unmatched, 0u);
   EXPECT_GT(result.committed, 100u);

@@ -57,7 +57,7 @@ ClusterOutcome run_cluster() {
   options.routing = core::RoutingKind::kShardAffine;
   options.task_processor.shards = 4;
   core::HammerDriver driver(sut.make_cluster(1), util::SteadyClock::shared(), options);
-  core::RunResult result = driver.run(wf, nullptr);
+  core::RunResult result = driver.run(wf);
 
   ClusterOutcome outcome;
   outcome.submitted = result.submitted;

@@ -70,9 +70,9 @@ StormOutcome run_storm() {
   options.worker_threads = 1;  // one send stream -> deterministic draw order
   options.submit_batch_size = 4;
   options.fault_injector = client_faults;
-  core::RunResult result = core::run_peak_probe(
-      sut.make_adapters(1, adapter_config, client_faults), sut.make_adapters(1)[0],
-      util::SteadyClock::shared(), options, wf);
+  core::RunResult result =
+      core::run_peak_probe(sut.make_cluster(1, 1, adapter_config, client_faults),
+                           util::SteadyClock::shared(), options, wf);
 
   StormOutcome outcome;
   outcome.client_faults = client_faults->counts_json().dump();

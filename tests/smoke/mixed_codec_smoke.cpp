@@ -73,8 +73,9 @@ int main() {
   core::DriverOptions options;
   options.worker_threads = 2;
   options.submit_batch_size = 8;
-  core::RunResult result = core::run_peak_probe(workers, poller,
-                                                util::SteadyClock::shared(), options, wf);
+  core::RunResult result =
+      core::run_peak_probe(core::SutCluster::single(std::move(workers), std::move(poller)),
+                           util::SteadyClock::shared(), options, wf);
 
   std::printf("mixed codec probe: submitted=%llu committed=%llu unmatched=%llu tps=%.0f\n",
               static_cast<unsigned long long>(result.submitted),

@@ -45,7 +45,7 @@ int main() {
   options.trace_every_n = 4;
   options.trace_export_path = trace_path;
   core::HammerDriver driver(sut.make_cluster(1), util::SteadyClock::shared(), options);
-  core::RunResult result = driver.run(wf, nullptr);
+  core::RunResult result = driver.run(wf);
 
   if (result.submitted != 400 || result.unmatched != 0) {
     std::fprintf(stderr, "FAIL: traced run lost transactions (submitted=%llu unmatched=%llu)\n",

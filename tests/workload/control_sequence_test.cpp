@@ -69,61 +69,5 @@ TEST(ControlSequenceTest, LoadMissingFileThrows) {
   EXPECT_THROW(ControlSequence::load("/nonexistent/cs.json"), Error);
 }
 
-TEST(RateControllerTest, IssuesExactlyPlannedCount) {
-  auto clock = std::make_shared<util::ManualClock>();
-  RateController rc(ControlSequence({5.0, 3.0}, 1s), clock);
-  EXPECT_EQ(rc.total_planned(), 8u);
-  int issued = 0;
-  while (rc.next_send_time()) ++issued;
-  EXPECT_EQ(issued, 8);
-}
-
-TEST(RateControllerTest, DeadlinesAreMonotoneAndWithinSlices) {
-  auto clock = std::make_shared<util::ManualClock>();
-  RateController rc(ControlSequence({4.0, 2.0}, 1s), clock);
-  util::TimePoint start = clock->now();
-  util::TimePoint prev = start;
-  std::vector<util::TimePoint> deadlines;
-  while (auto t = rc.next_send_time()) {
-    EXPECT_GE(*t, prev);
-    prev = *t;
-    deadlines.push_back(*t);
-  }
-  ASSERT_EQ(deadlines.size(), 6u);
-  // First four within slice 0, last two within slice 1.
-  for (int i = 0; i < 4; ++i) EXPECT_LT(deadlines[i] - start, 1s);
-  for (int i = 4; i < 6; ++i) {
-    EXPECT_GE(deadlines[i] - start, 1s);
-    EXPECT_LT(deadlines[i] - start, 2s);
-  }
-}
-
-TEST(RateControllerTest, FractionalCountsCarryAcrossSlices) {
-  auto clock = std::make_shared<util::ManualClock>();
-  // 0.5 per slice over 4 slices -> 2 sends in total.
-  RateController rc(ControlSequence({0.5, 0.5, 0.5, 0.5}, 1s), clock);
-  int issued = 0;
-  while (rc.next_send_time()) ++issued;
-  EXPECT_EQ(issued, 2);
-}
-
-TEST(RateControllerTest, ZeroSlicesYieldNothing) {
-  auto clock = std::make_shared<util::ManualClock>();
-  RateController rc(ControlSequence({0.0, 0.0}, 1s), clock);
-  EXPECT_FALSE(rc.next_send_time().has_value());
-}
-
-TEST(RateControllerTest, SpreadWithinSliceIsUniform) {
-  auto clock = std::make_shared<util::ManualClock>();
-  RateController rc(ControlSequence({4.0}, 1000ms), clock);
-  util::TimePoint start = clock->now();
-  std::vector<std::int64_t> offsets_ms;
-  while (auto t = rc.next_send_time()) {
-    offsets_ms.push_back(
-        std::chrono::duration_cast<std::chrono::milliseconds>(*t - start).count());
-  }
-  EXPECT_EQ(offsets_ms, (std::vector<std::int64_t>{0, 250, 500, 750}));
-}
-
 }  // namespace
 }  // namespace hammer::workload
